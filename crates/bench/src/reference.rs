@@ -1,4 +1,5 @@
-//! Pre-optimization reference implementation of fixed-lattice smoothing.
+//! Pre-optimization reference implementations of fixed-lattice smoothing
+//! and of the Barnes–Hut force layout.
 //!
 //! This is the lattice smoother as it stood before the wall-clock fast
 //! path (zero-alloc cost charging, fused counting, scratch reuse): it
@@ -23,6 +24,13 @@
 //! the reference must emit in the same order to be comparable. (The old
 //! `HashMap` order was nondeterministic run-to-run, which is exactly the
 //! trace-stability bug this PR fixes.)
+//!
+//! The module also keeps the pre-optimization Barnes–Hut pair,
+//! [`ReferenceQuadTree`] and [`reference_force_layout`]: the per-node-`Vec`
+//! quadtree and the collect-based force layout that the flat
+//! `sp_geometry::QuadTree` and `sp_embed::force_layout` replaced. The
+//! differential tests demand bit-identical coordinates and op counts
+//! between the two.
 
 use sp_embed::lattice::{LatticeConfig, LatticeStats};
 use sp_embed::ForceParams;
@@ -510,6 +518,260 @@ pub fn demo_grid(rows: usize, cols: usize, seed: u64) -> (Graph, Vec<Point2>) {
         })
         .collect();
     (g, coords)
+}
+
+/// The Barnes–Hut quadtree as it stood before the flat rewrite of
+/// `sp_geometry::QuadTree`, kept verbatim: every node owns its body `Vec`,
+/// and each query allocates its own traversal stack. It is the oracle the
+/// differential tests hold the flat tree to — same node count, same visit
+/// sequence, same bits.
+pub struct ReferenceQuadTree {
+    nodes: Vec<RefQuadNode>,
+    points: Vec<Point2>,
+    masses: Vec<f64>,
+}
+
+const REF_LEAF_CAPACITY: usize = 8;
+const REF_MAX_DEPTH: usize = 48;
+
+#[derive(Clone, Debug)]
+struct RefQuadNode {
+    bbox: Aabb2,
+    /// Total mass of bodies below this node.
+    mass: f64,
+    /// Centre of mass of bodies below this node.
+    com: Point2,
+    /// Index of the first of four children in the arena, or `u32::MAX`.
+    children: u32,
+    /// Body indices for leaves.
+    bodies: Vec<u32>,
+}
+
+impl ReferenceQuadTree {
+    /// Build a tree over `points` with the given per-point `masses`
+    /// (pass `None` for unit masses).
+    pub fn build(points: &[Point2], masses: Option<&[f64]>) -> Self {
+        let masses: Vec<f64> = match masses {
+            Some(m) => {
+                assert_eq!(m.len(), points.len());
+                m.to_vec()
+            }
+            None => vec![1.0; points.len()],
+        };
+        let bbox = Aabb2::from_points(points)
+            .unwrap_or_else(Aabb2::unit)
+            .inflated(1e-9 + 1e-12);
+        let mut tree = ReferenceQuadTree {
+            nodes: vec![RefQuadNode {
+                bbox,
+                mass: 0.0,
+                com: Point2::ZERO,
+                children: u32::MAX,
+                bodies: Vec::new(),
+            }],
+            points: points.to_vec(),
+            masses,
+        };
+        for i in 0..points.len() {
+            tree.insert(0, i as u32, 0);
+        }
+        tree.finalize(0);
+        tree
+    }
+
+    fn insert(&mut self, node: usize, body: u32, depth: usize) {
+        let p = self.points[body as usize];
+        let m = self.masses[body as usize];
+        self.nodes[node].mass += m;
+        self.nodes[node].com += p * m;
+        if self.nodes[node].children == u32::MAX {
+            if self.nodes[node].bodies.len() < REF_LEAF_CAPACITY || depth >= REF_MAX_DEPTH {
+                self.nodes[node].bodies.push(body);
+                return;
+            }
+            // Split: push four children and re-insert resident bodies.
+            let bb = self.nodes[node].bbox;
+            let first = self.nodes.len() as u32;
+            self.nodes[node].children = first;
+            let c = bb.center();
+            let quads = [
+                Aabb2::new(bb.min, c),
+                Aabb2::new(Point2::new(c.x, bb.min.y), Point2::new(bb.max.x, c.y)),
+                Aabb2::new(Point2::new(bb.min.x, c.y), Point2::new(c.x, bb.max.y)),
+                Aabb2::new(c, bb.max),
+            ];
+            for q in quads {
+                self.nodes.push(RefQuadNode {
+                    bbox: q,
+                    mass: 0.0,
+                    com: Point2::ZERO,
+                    children: u32::MAX,
+                    bodies: Vec::new(),
+                });
+            }
+            let resident = std::mem::take(&mut self.nodes[node].bodies);
+            for b in resident {
+                let q = self.quadrant(node, self.points[b as usize]);
+                self.insert_into_child(first, q, b, depth + 1);
+            }
+        }
+        let first = self.nodes[node].children;
+        let q = self.quadrant(node, p);
+        self.insert_into_child(first, q, body, depth + 1);
+    }
+
+    fn insert_into_child(&mut self, first: u32, quad: usize, body: u32, depth: usize) {
+        self.insert(first as usize + quad, body, depth);
+    }
+
+    fn quadrant(&self, node: usize, p: Point2) -> usize {
+        let c = self.nodes[node].bbox.center();
+        usize::from(p.x >= c.x) + 2 * usize::from(p.y >= c.y)
+    }
+
+    fn finalize(&mut self, node: usize) {
+        // Convert mass-weighted sums into centres of mass (iterative to
+        // avoid recursion-depth issues on adversarial inputs).
+        let mut stack = vec![node];
+        while let Some(i) = stack.pop() {
+            if self.nodes[i].mass > 0.0 {
+                self.nodes[i].com = self.nodes[i].com / self.nodes[i].mass;
+            }
+            if self.nodes[i].children != u32::MAX {
+                let f = self.nodes[i].children as usize;
+                stack.extend([f, f + 1, f + 2, f + 3]);
+            }
+        }
+    }
+
+    /// Total mass in the tree.
+    pub fn total_mass(&self) -> f64 {
+        self.nodes[0].mass
+    }
+
+    /// Visit approximated bodies for a query point: clusters whose opening
+    /// ratio `side / dist` is below `theta` are reported once as
+    /// `(centre_of_mass, mass)`; near clusters are opened, and individual
+    /// bodies (excluding `skip`) are reported exactly.
+    ///
+    /// Returns the number of interactions visited (for cost accounting).
+    pub fn for_each_approx<F: FnMut(Point2, f64)>(
+        &self,
+        query: Point2,
+        skip: Option<u32>,
+        theta: f64,
+        mut visit: F,
+    ) -> usize {
+        let mut count = 0;
+        let mut stack = vec![0usize];
+        while let Some(i) = stack.pop() {
+            let node = &self.nodes[i];
+            if node.mass <= 0.0 {
+                continue;
+            }
+            let d = query.dist(node.com);
+            let side = node.bbox.longest_side();
+            if node.children == u32::MAX {
+                for &b in &node.bodies {
+                    if Some(b) == skip {
+                        continue;
+                    }
+                    visit(self.points[b as usize], self.masses[b as usize]);
+                    count += 1;
+                }
+            } else if d > 0.0 && side / d < theta {
+                visit(node.com, node.mass);
+                count += 1;
+            } else {
+                let f = node.children as usize;
+                stack.extend([f, f + 1, f + 2, f + 3]);
+            }
+        }
+        count
+    }
+
+    /// Number of arena nodes (diagnostics).
+    pub fn node_count(&self) -> usize {
+        self.nodes.len()
+    }
+}
+
+/// `sp_embed::force_layout` as it stood before the allocation-free
+/// rewrite, kept verbatim apart from the tree type: it builds a fresh
+/// [`ReferenceQuadTree`] every iteration, calls
+/// [`ForceParams::repulsive`] per interaction and collects per-vertex
+/// moves through `into_par_iter().map().collect()`. The optimized layout
+/// must return bit-identical coordinates and op counts.
+pub fn reference_force_layout(
+    g: &Graph,
+    coords: &mut [Point2],
+    params: &ForceParams,
+    theta: f64,
+    max_iters: usize,
+    step0: f64,
+    t: f64,
+) -> f64 {
+    use rayon::prelude::*;
+    assert_eq!(coords.len(), g.n());
+    if g.n() == 0 {
+        return 0.0;
+    }
+    let t = t.clamp(0.5, 0.99);
+    let mut step = step0 * params.k;
+    let max_step = 3.0 * params.k;
+    let mut energy = f64::INFINITY;
+    let mut progress = 0u32;
+    let mut total_ops = 0.0;
+    for _ in 0..max_iters {
+        let tree = ReferenceQuadTree::build(coords, Some(g.vwgts()));
+        total_ops += g.n() as f64;
+        let coords_ref = &*coords;
+        let results: Vec<(Point2, f64, f64)> = (0..g.n() as u32)
+            .into_par_iter()
+            .map(|v| {
+                let cv = coords_ref[v as usize];
+                let mv = g.vwgt(v);
+                let mut f = Point2::ZERO;
+                let mut ops = 0.0;
+                for (u, w) in g.neighbors_w(v) {
+                    f += params.attractive(cv, coords_ref[u as usize]) * w;
+                    ops += 1.0;
+                }
+                ops += tree.for_each_approx(cv, Some(v), theta, |p, m| {
+                    f += params.repulsive(cv, mv, p, m);
+                }) as f64;
+                let norm = f.norm();
+                let d = if norm > 1e-12 {
+                    f * (step / norm)
+                } else {
+                    Point2::ZERO
+                };
+                (d, norm * norm, ops + 2.0)
+            })
+            .collect();
+        let mut new_energy = 0.0;
+        for (v, (d, e, ops)) in results.into_iter().enumerate() {
+            coords[v] += d;
+            new_energy += e;
+            total_ops += ops;
+        }
+        // Hu's adaptive cooling.
+        if new_energy < energy {
+            progress += 1;
+            if progress >= 5 {
+                progress = 0;
+                step = (step / t).min(max_step);
+            }
+        } else {
+            progress = 0;
+            step *= t;
+        }
+        energy = new_energy;
+        if step < 0.005 * params.k {
+            break;
+        }
+    }
+    total_ops
 }
 
 #[cfg(test)]

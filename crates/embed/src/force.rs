@@ -41,7 +41,9 @@ impl ForceParams {
     }
 
     /// Repulsive force vector on a vertex of mass `m_from` at `from` due to
-    /// a body of mass `m_to` at `to` (pushes away).
+    /// a body of mass `m_to` at `to` (pushes away). `seq::force_layout`
+    /// inlines this expression with `C·K²·m_from` hoisted; change both
+    /// together.
     #[inline]
     pub fn repulsive(&self, from: Point2, m_from: f64, to: Point2, m_to: f64) -> Point2 {
         let d = from - to;

@@ -24,17 +24,13 @@ pub struct MultilevelEmbedConfig {
     pub iters_coarsest: usize,
     /// Smoothing iterations per finer level.
     pub iters_smooth: usize,
-    /// Barnes–Hut theta for levels that fall back to exact repulsion
-    /// (active rank count 1, where the lattice approximation degenerates).
+    /// Barnes–Hut opening threshold of the force layout that embeds the
+    /// coarsest level and smooths the replicated levels (those of at most
+    /// `REPLICATION_THRESHOLD` vertices, or whose lattice would be
+    /// narrower than 2×2).
     pub theta: f64,
     /// RNG seed for initial placement and projection jitter.
     pub seed: u64,
-    /// Contiguous simulated ranks per host task in each superstep.
-    /// Non-zero values are forwarded to [`Machine::set_rank_batch`] at
-    /// embed entry; 0 (the default) leaves the machine's own setting —
-    /// normally auto: spread evenly over the rayon pool. Purely a host
-    /// performance knob — results are bit-identical for every value.
-    pub rank_batch: usize,
 }
 
 impl Default for MultilevelEmbedConfig {
@@ -45,7 +41,6 @@ impl Default for MultilevelEmbedConfig {
             iters_smooth: 20,
             theta: 1.1,
             seed: 0x1A771CE,
-            rank_batch: 0,
         }
     }
 }
@@ -135,9 +130,6 @@ pub fn multilevel_lattice_embed_with(
 ) -> Vec<Point2> {
     let p = machine.p();
     let k = h.depth() - 1;
-    if cfg.rank_batch != 0 {
-        machine.set_rank_batch(cfg.rank_batch);
-    }
     let mut rng = StdRng::seed_from_u64(cfg.seed);
 
     // --- Coarsest level: random init + force embedding on the P^k active

@@ -64,6 +64,12 @@ pub fn random_init(n: usize, rng: &mut StdRng) -> Vec<Point2> {
 /// when the step has cooled below 0.5% of `K`. Returns the number of
 /// abstract ops performed (edge scans + Barnes–Hut interactions), which the
 /// SPMD cost accounting uses.
+///
+/// One tree and one move buffer serve every iteration. Forces are
+/// computed in the tree's leaf order, which keeps consecutive queries on
+/// nearby paths, but each vertex's move is stored at its own index and
+/// moves, energy and ops are summed in vertex order, so the result does
+/// not depend on the query order.
 pub fn force_layout(
     g: &Graph,
     coords: &mut [Point2],
@@ -73,7 +79,6 @@ pub fn force_layout(
     step0: f64,
     t: f64,
 ) -> f64 {
-    use rayon::prelude::*;
     assert_eq!(coords.len(), g.n());
     if g.n() == 0 {
         return 0.0;
@@ -84,36 +89,40 @@ pub fn force_layout(
     let mut energy = f64::INFINITY;
     let mut progress = 0u32;
     let mut total_ops = 0.0;
+    let ckk = params.c * params.k * params.k;
+    let mut tree = QuadTree::default();
+    // Per vertex: (move, squared force norm, ops).
+    let mut moves = vec![(Point2::ZERO, 0.0, 0.0); g.n()];
     for _ in 0..max_iters {
-        let tree = QuadTree::build(coords, Some(g.vwgts()));
+        tree.rebuild(coords, Some(g.vwgts()));
         total_ops += g.n() as f64;
-        let coords_ref = &*coords;
-        let results: Vec<(Point2, f64, f64)> = (0..g.n() as u32)
-            .into_par_iter()
-            .map(|v| {
-                let cv = coords_ref[v as usize];
-                let mv = g.vwgt(v);
-                let mut f = Point2::ZERO;
-                let mut ops = 0.0;
-                for (u, w) in g.neighbors_w(v) {
-                    f += params.attractive(cv, coords_ref[u as usize]) * w;
-                    ops += 1.0;
-                }
-                ops += tree.for_each_approx(cv, Some(v), theta, |p, m| {
-                    f += params.repulsive(cv, mv, p, m);
-                }) as f64;
-                let norm = f.norm();
-                let d = if norm > 1e-12 {
-                    f * (step / norm)
-                } else {
-                    Point2::ZERO
-                };
-                (d, norm * norm, ops + 2.0)
-            })
-            .collect();
+        for v in tree.leaf_order() {
+            let cv = coords[v as usize];
+            let mut f = Point2::ZERO;
+            let mut ops = 0.0;
+            for (u, w) in g.neighbors_w(v) {
+                f += params.attractive(cv, coords[u as usize]) * w;
+                ops += 1.0;
+            }
+            // `ForceParams::repulsive` inlined with its prefix C·K²·m_v
+            // hoisted: the same expression tree, so the same bits.
+            let cmk = ckk * g.vwgt(v);
+            ops += tree.for_each_approx(cv, Some(v), theta, |p, m| {
+                let d = cv - p;
+                let dist_sq = d.norm_sq().max(1e-9 * 1e-9);
+                f += d * (cmk * m / dist_sq);
+            }) as f64;
+            let norm = f.norm();
+            let d = if norm > 1e-12 {
+                f * (step / norm)
+            } else {
+                Point2::ZERO
+            };
+            moves[v as usize] = (d, norm * norm, ops + 2.0);
+        }
         let mut new_energy = 0.0;
-        for (v, (d, e, ops)) in results.into_iter().enumerate() {
-            coords[v] += d;
+        for (c, &(d, e, ops)) in coords.iter_mut().zip(&moves) {
+            *c += d;
             new_energy += e;
             total_ops += ops;
         }

@@ -107,9 +107,8 @@ pub struct JobSpec {
 }
 
 /// A finished partition, as stored in the cache and returned to clients.
+/// The labels live only in `result_json`, the form every response sends.
 pub struct PartitionOutput {
-    /// Vertex → part labels.
-    pub part: Vec<u32>,
     pub k: usize,
     pub summary: PartitionSummary,
     /// Simulated time the job took on its fresh machine.
@@ -556,13 +555,8 @@ impl Service {
         if arr.len() != n || k == 0 {
             return false;
         }
-        let mut part = Vec::with_capacity(arr.len());
-        for p in arr {
-            let Some(p) = p.as_u64() else { return false };
-            if p >= k as u64 {
-                return false;
-            }
-            part.push(p as u32);
+        if !arr.iter().all(|p| p.as_u64().is_some_and(|p| p < k as u64)) {
+            return false;
         }
         let summary = PartitionSummary {
             n,
@@ -585,7 +579,6 @@ impl Service {
                 .unwrap_or(0),
         };
         let output = Arc::new(PartitionOutput {
-            part,
             k,
             summary,
             sim_time,
@@ -805,10 +798,13 @@ fn run_job(
                     prof,
                 );
             }
+            // The cache holds the body for the entry's lifetime, so drop
+            // the serializer's spare capacity (it reserves 4 bytes a label).
+            let mut result_json = kp.to_json(&spec.graph);
+            result_json.shrink_to_fit();
             let result = Arc::new(PartitionOutput {
                 summary: kp.summary(&spec.graph),
-                result_json: kp.to_json(&spec.graph),
-                part: kp.part,
+                result_json,
                 k: kp.k,
                 sim_time,
                 input_fp: job.key.input,
@@ -939,6 +935,18 @@ mod tests {
         }
     }
 
+    /// The labels of a finished partition, read back from its response
+    /// body (the cache keeps no other copy).
+    fn labels(result: &PartitionOutput) -> Vec<u64> {
+        let v = crate::json::Value::parse(&result.result_json).expect("result body is JSON");
+        v.get("part")
+            .and_then(crate::json::Value::as_arr)
+            .expect("result body has part labels")
+            .iter()
+            .map(|p| p.as_u64().expect("labels are integers"))
+            .collect()
+    }
+
     fn small_cfg() -> ServeConfig {
         ServeConfig {
             workers: 2,
@@ -954,12 +962,12 @@ mod tests {
         let svc = Service::start(small_cfg());
         let s = spec(16, Method::Rcb, 1);
         let first = svc.submit_wait(s.clone()).unwrap();
-        let (labels, fp) = match &first {
+        let (first_labels, fp) = match &first {
             JobOutcome::Done {
                 result, cache_hit, ..
             } => {
                 assert!(!cache_hit);
-                (result.part.clone(), result.input_fp)
+                (labels(result), result.input_fp)
             }
             _ => panic!("expected Done"),
         };
@@ -969,7 +977,7 @@ mod tests {
                 result, cache_hit, ..
             } => {
                 assert!(cache_hit, "identical resubmit must hit the cache");
-                assert_eq!(result.part, labels);
+                assert_eq!(labels(result), first_labels);
                 assert_eq!(result.input_fp, fp);
             }
             _ => panic!("expected Done"),
@@ -979,6 +987,37 @@ mod tests {
         assert_eq!(st.cache_misses, 1);
         assert_eq!(st.completed, 2);
         assert!(st.hit_rate() > 0.49 && st.hit_rate() < 0.51);
+        svc.shutdown();
+    }
+
+    #[test]
+    fn cache_load_validates_labels_it_does_not_keep() {
+        let svc = Service::start(small_cfg());
+        let key = |input: u64, ranks: usize| CacheKey {
+            input,
+            method: Method::Rcb,
+            parts: 2,
+            ranks,
+            seed: 1,
+        };
+        let body = |part: &str| format!(r#"{{"n": 3, "k": 2, "part": [{part}]}}"#);
+        for (input, ranks, part, why) in [
+            (1, 4, "0,1,2", "label >= k"),
+            (2, 4, "0,1,-1", "negative label"),
+            (3, 4, "0,1,0.5", "fractional label"),
+            (4, 4, "0,1", "fewer labels than n"),
+            (5, 8, "0,1,1", "other rank count"),
+        ] {
+            assert!(
+                !svc.cache_load(key(input, ranks), 0.5, &body(part)),
+                "{why}"
+            );
+        }
+        assert_eq!(svc.stats().cache_entries, 0);
+        assert!(svc.cache_load(key(6, 4), 0.5, &body("0,1,1")));
+        let dumped = svc.cache_dump(8);
+        assert_eq!(dumped.len(), 1);
+        assert_eq!(dumped[0].1.result_json, body("0,1,1"));
         svc.shutdown();
     }
 
@@ -1025,8 +1064,7 @@ mod tests {
         }
         // The same worker must immediately serve the next job.
         match svc.submit_wait(spec(12, Method::Rcb, 3)).unwrap() {
-            JobOutcome::Done { result, .. } => result
-                .part
+            JobOutcome::Done { result, .. } => labels(&result)
                 .iter()
                 .for_each(|&p| assert!((p as usize) < result.k)),
             _ => panic!("expected Done after timeout"),
